@@ -10,6 +10,14 @@
 
 namespace amsvp::perfbench {
 
+double Samples::sum() const {
+    double total = 0.0;
+    for (const double v : values_) {
+        total += v;
+    }
+    return total;
+}
+
 double Samples::quantile(double q) const {
     if (values_.empty()) {
         return 0.0;

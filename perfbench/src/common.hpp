@@ -39,6 +39,7 @@ class Samples {
 public:
     void add(double v) { values_.push_back(v); }
     [[nodiscard]] std::size_t size() const { return values_.size(); }
+    [[nodiscard]] double sum() const;
     [[nodiscard]] double median() const { return quantile(0.5); }
     /// Linear-interpolated quantile, q in [0, 1].
     [[nodiscard]] double quantile(double q) const;

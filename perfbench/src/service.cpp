@@ -1,10 +1,11 @@
 // The served-job surface: one SweepService, two closed-loop clients (each
 // submits a job and waits for its future before the next), short ORC jobs
-// of 64 lanes and tens to a few hundred steps drawn by seed over
-// 2IN/RC1/RC20/OA. Every twentieth job runs a fresh RC ladder, abstracted
-// during set-up but never submitted before, so the cache misses and that
-// job pays layout compile, verification and ORC compile. Per-job fixed
-// costs (fingerprint, cache lookup, executor reuse) dominate the kernel.
+// of 64 lanes and tens to a few hundred steps, their models drawn
+// uniformly by seed over 2IN/RC1/RC20/OA. Every twentieth job runs a fresh
+// RC ladder, abstracted during set-up but never submitted before, so the
+// cache misses and that job pays layout compile, verification and ORC
+// compile. Per-job fixed costs (fingerprint, cache lookup, executor reuse)
+// dominate the kernel.
 #include <algorithm>
 #include <atomic>
 #include <map>
@@ -45,16 +46,6 @@ Spec make_spec(const abstraction::SignalFlowModel& model, Rng& rng) {
     return spec;
 }
 
-/// Base model of a repeat job: RC20 (index 2), whose fingerprint alone
-/// costs several small jobs, one time in eight; 2IN, RC1 and OA share the
-/// rest. The median job is then clearly a small model's, not one that
-/// flips between the small-job and RC20 modes from seed to seed.
-std::size_t draw_base_model(Rng& rng) {
-    constexpr std::size_t kSmall[] = {0, 1, 3};
-    const int r = rng.integer(0, 23);
-    return r < 3 ? 2 : kSmall[(r - 3) % 3];
-}
-
 /// One planned job: a model (base models first, then the fresh ladders)
 /// and one of its specs.
 struct Planned {
@@ -89,7 +80,7 @@ public:
 
         // Set-up: the service, every model's abstraction, and one warm-up
         // job per base model (cold compiles, executor pools).
-        const int reps = primary && !options.smoke ? 3 : 1;
+        const int reps = primary && !options.smoke ? 5 : 1;
         for (int rep = 0; rep < reps; ++rep) {
             service_.reset();
             models_.clear();
@@ -124,11 +115,13 @@ public:
         plan_.resize(plan_size_);
         Rng rng(options.seed, 201);
         std::size_t next_fresh = kBaseModels;
+        const auto draw = [&rng](std::size_t count) {
+            return static_cast<std::size_t>(rng.integer(0, static_cast<int>(count) - 1));
+        };
         for (std::size_t i = 0; i < plan_size_; ++i) {
             plan_[i] = i % kMissEvery == kMissEvery / 2
                            ? Planned{next_fresh++, 0}
-                           : Planned{draw_base_model(rng), static_cast<std::size_t>(rng.integer(
-                                                                0, kSpecsPerModel - 1))};
+                           : Planned{draw(kBaseModels), draw(kSpecsPerModel)};
         }
         latency_.assign(plan_size_, 0.0);
         sums_.assign(plan_size_, 0);
@@ -183,11 +176,18 @@ public:
         const runtime::ServiceStats after = service_->stats();
         const std::uint64_t hits = after.cache.orc_hits - before_.cache.orc_hits;
         const std::uint64_t misses = after.cache.orc_misses - before_.cache.orc_misses;
-        ledger_.op(after.jobs_failed == 0 && after.native_fallbacks == 0 &&
+        ledger_.op(job_options_.backend == runtime::SweepBackend::kNativeOrc &&
+                       after.jobs_failed == 0 && after.native_fallbacks == 0 &&
                        hits == hits_planned && misses == executed - hits_planned,
-                   "service stats: failed jobs, native fallbacks or cache hits off the plan");
+                   "service stats: not on ORC, failed jobs, native fallbacks or cache hits "
+                   "off the plan");
 
-        ledger_.end_to_end("job_p50_ms", latency_ms.median(), "ms");
+        // No job_p50_ms end-to-end metric: the latencies are bimodal (small
+        // models around 1 ms; RC20, whose fingerprint alone costs ~4 ms, and
+        // jobs queued behind it or a miss's compile above 3 ms) with about
+        // half of the jobs on each side, so the median falls in the sparse
+        // gap and moves by more than half between seeds. It is the median
+        // of job_ms on the distributions line.
         ledger_.end_to_end("job_p99_ms", latency_ms.percentile(99.0), "ms");
         ledger_.end_to_end("jobs_per_s", static_cast<double>(executed) / window_s_, "1/s");
         ledger_.distribution("job_ms", latency_ms);

@@ -20,7 +20,14 @@ namespace amsvp::perfbench {
 namespace {
 
 const char* backend_tag(runtime::SweepBackend backend) {
-    return backend == runtime::SweepBackend::kInterpreter ? "interp" : "orc";
+    switch (backend) {
+        case runtime::SweepBackend::kInterpreter:
+            return "interp";
+        case runtime::SweepBackend::kNativeOrc:
+            return "orc";
+        default:
+            return "native";
+    }
 }
 
 std::vector<runtime::SweepLane> make_lanes(const abstraction::SignalFlowModel& model,
@@ -73,9 +80,9 @@ public:
           native_(runtime::preferred_native_backend()) {
         // Set-up: abstraction plus the cold layout and kernel compiles the
         // first sweep pays, repeated from an empty global cache.
-        // Nine cheap repetitions: a single one takes tens of milliseconds.
+        // Fifteen cheap repetitions: a single one takes tens of milliseconds.
         const netlist::Circuit circuit = netlist::make_rc_ladder(20);
-        const int reps = primary && !options.smoke ? 9 : 1;
+        const int reps = primary && !options.smoke ? 15 : 1;
         for (int rep = 0; rep < reps; ++rep) {
             const std::int64_t start = now_ns();
             model_ = abstract(circuit, "RC20");
@@ -93,6 +100,10 @@ public:
                 setup.add(seconds_since(start));
             }
         }
+        // The ORC rows must time ORC, not a fallback.
+        ledger.op(native_ == runtime::SweepBackend::kNativeOrc,
+                  std::string("sweep: preferred native backend is ") + backend_tag(native_) +
+                      ", not orc");
         for (int j = 0; j < kJobs; ++j) {
             Rng rng(options.seed, 100 + static_cast<std::uint64_t>(j));
             jobs_.push_back(make_lanes(model_, lanes_, rng));
@@ -175,21 +186,21 @@ private:
             runtime::BatchCompiledModel interp(layout, width);
             const double interp_ns = kernel_ns_per_lane_step(
                 interp, model_.timestep, "runtime.BatchExecutor::step.interp" + w);
-            double orc_ns = interp_ns;
+            std::map<std::string, double> kernel_ns = {{"interp", interp_ns}};
+            // Without ORC the set-up check has failed the run; no ORC
+            // figure is reported.
             if (program != nullptr) {
                 codegen::OrcBatchModel orc(program, width);
-                orc_ns = kernel_ns_per_lane_step(orc, model_.timestep,
-                                                 "runtime.BatchExecutor::step.orc" + w);
+                kernel_ns["orc"] = kernel_ns_per_lane_step(
+                    orc, model_.timestep, "runtime.BatchExecutor::step.orc" + w);
             }
-            ledger_.layer(std::string("runtime.kernel_ns_per_lane_step.interp") + suffix,
-                          interp_ns, "ns");
-            ledger_.layer(std::string("runtime.kernel_ns_per_lane_step.orc") + suffix, orc_ns,
-                          "ns");
+            for (const auto& [tag, ns] : kernel_ns) {
+                ledger_.layer("runtime.kernel_ns_per_lane_step." + tag + suffix, ns, "ns");
+            }
             if (*suffix != '\0') {
                 continue;
             }
-            for (const auto& [tag, ns] :
-                 {std::pair{"orc", orc_ns}, std::pair{"interp", interp_ns}}) {
+            for (const auto& [tag, ns] : kernel_ns) {
                 const double kernel_s = static_cast<double>(lanes_) *
                                         static_cast<double>(steps_) * ns * 1e-9;
                 ledger_.layer(std::string("runtime.sweep_overhead_frac.") + tag,

@@ -1,9 +1,10 @@
 #include "trace.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+
+#include "common.hpp"
 
 namespace amsvp::perfbench {
 namespace {
@@ -27,15 +28,6 @@ thread_local bool muted = false;
 std::uint32_t thread_index() {
     thread_local const std::uint32_t tid = state().next_tid.fetch_add(1);
     return tid;
-}
-
-double median_of(std::vector<double> v) {
-    if (v.empty()) {
-        return 0.0;
-    }
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 }  // namespace
@@ -106,28 +98,20 @@ std::map<std::string, SpanStats> Tracer::stats() {
             child_ns[static_cast<std::size_t>(span.parent)] += span.end_ns - span.start_ns;
         }
     }
-    std::map<std::string, std::vector<double>> durations;
-    std::map<std::string, std::vector<double>> self_durations;
+    std::map<std::string, Samples> durations;
+    std::map<std::string, Samples> self_durations;
     for (const Span& span : s.spans) {
         const double ms = static_cast<double>(span.end_ns - span.start_ns) * 1e-6;
         const double self_ms =
             ms - static_cast<double>(child_ns[static_cast<std::size_t>(span.id)]) * 1e-6;
-        durations[span.name].push_back(ms);
-        self_durations[span.name].push_back(self_ms);
+        durations[span.name].add(ms);
+        self_durations[span.name].add(self_ms);
     }
     std::map<std::string, SpanStats> out;
     for (const auto& [name, values] : durations) {
-        SpanStats st;
-        st.count = values.size();
-        for (const double v : values) {
-            st.total_ms += v;
-        }
-        for (const double v : self_durations[name]) {
-            st.self_ms += v;
-        }
-        st.median_ms = median_of(values);
-        st.median_self_ms = median_of(self_durations[name]);
-        out[name] = st;
+        const Samples& self = self_durations[name];
+        out[name] = SpanStats{values.size(), values.sum(), self.sum(), values.median(),
+                              self.median()};
     }
     return out;
 }

@@ -64,29 +64,29 @@ runtime::ExecutorFactory traced_native_factory() {
     };
 }
 
-/// Hands `executor`, reset, to every run_platform call of a row: the row
-/// compiles its native model once at set-up instead of once per call.
-runtime::ExecutorFactory reuse_factory(runtime::ModelExecutor& executor) {
-    class Forward final : public runtime::ModelExecutor {
-    public:
-        explicit Forward(runtime::ModelExecutor& target) : target_(target) {}
-        void reset() override { target_.reset(); }
-        void set_input(std::size_t index, double value) override {
-            target_.set_input(index, value);
-        }
-        void step(double time_seconds) override { target_.step(time_seconds); }
-        [[nodiscard]] double output(std::size_t index) const override {
-            return target_.output(index);
-        }
-        [[nodiscard]] std::size_t input_count() const override { return target_.input_count(); }
-        [[nodiscard]] std::size_t output_count() const override {
-            return target_.output_count();
-        }
-        [[nodiscard]] double timestep() const override { return target_.timestep(); }
+/// Forwards every call to the row's native executor: the row compiles its
+/// native model once at set-up instead of once per run_platform call. It
+/// costs one virtual call per executor call, reported as
+/// vp.forward_overhead_ns.
+class Forward final : public runtime::ModelExecutor {
+public:
+    explicit Forward(runtime::ModelExecutor& target) : target_(target) {}
+    void reset() override { target_.reset(); }
+    void set_input(std::size_t index, double value) override { target_.set_input(index, value); }
+    void step(double time_seconds) override { target_.step(time_seconds); }
+    [[nodiscard]] double output(std::size_t index) const override {
+        return target_.output(index);
+    }
+    [[nodiscard]] std::size_t input_count() const override { return target_.input_count(); }
+    [[nodiscard]] std::size_t output_count() const override { return target_.output_count(); }
+    [[nodiscard]] double timestep() const override { return target_.timestep(); }
 
-    private:
-        runtime::ModelExecutor& target_;
-    };
+private:
+    runtime::ModelExecutor& target_;
+};
+
+/// Hands `executor`, reset, to every run_platform call of a row.
+runtime::ExecutorFactory reuse_factory(runtime::ModelExecutor& executor) {
     return [&executor](const abstraction::SignalFlowModel&) {
         executor.reset();
         return std::make_unique<Forward>(executor);
@@ -94,15 +94,15 @@ runtime::ExecutorFactory reuse_factory(runtime::ModelExecutor& executor) {
 }
 
 /// ModelExecutor::step of the row's native RC20 executor, timed alone:
-/// nanoseconds per step over `steps` steps.
+/// nanoseconds per step over `steps` steps, median of nine passes.
 double scalar_step_ns(runtime::ModelExecutor& executor, const numeric::SourceFunction& stimulus,
-                      std::size_t steps) {
+                      std::size_t steps, const std::string& span_name) {
     Samples per_step;
-    for (int rep = 0; rep < 5; ++rep) {
+    for (int rep = 0; rep < 9; ++rep) {
         executor.reset();
         const std::int64_t start = now_ns();
         {
-            Tracer::Scope span("runtime.ModelExecutor::step");
+            Tracer::Scope span(span_name);
             for (std::size_t k = 1; k <= steps; ++k) {
                 const double t = static_cast<double>(k) * executor.timestep();
                 executor.set_input(0, stimulus(t));
@@ -145,7 +145,7 @@ public:
         // Set-up: abstraction, Table III's native compile of the scalar
         // model for each generated-model row, and one round's platform
         // elaboration.
-        const int reps = primary && !options.smoke ? 3 : 1;
+        const int reps = primary && !options.smoke ? 5 : 1;
         for (int rep = 0; rep < reps; ++rep) {
             const std::int64_t start = now_ns();
             model_ = abstract(circuit_, "RC20");
@@ -153,10 +153,17 @@ public:
             for (const Row& row : kRows) {
                 if (row.integration != vp::AnalogIntegration::kEln) {
                     native_[row.tag] = traced_native_factory()(model_);
+                    // native_executor_factory() falls back to the
+                    // interpreter when the compile fails: that row would
+                    // no longer be Table III's native one.
+                    ledger.op(dynamic_cast<codegen::NativeModel*>(native_[row.tag].get()) !=
+                                  nullptr,
+                              std::string("vp row ") + row.tag +
+                                  ": no native model, the executor factory fell back");
                 }
             }
             const double compiled = seconds_since(start);
-            const double outside = round();
+            const double outside = round(true);
             if (primary) {
                 setup.add(compiled + outside);
             }
@@ -165,7 +172,7 @@ public:
 
     void run_until(std::int64_t deadline_ns) override {
         do {
-            (void)round();
+            (void)round(false);
         } while (now_ns() < deadline_ns);
     }
 
@@ -181,9 +188,11 @@ public:
     }
 
 private:
-    /// One round runs every row once; returns the rows' time outside
+    /// One round runs every row once, the ELN row (as long as the other
+    /// three together, and the steadiest of them) only in set-up and every
+    /// third round; returns the rows' time outside
     /// PlatformResult::wall_seconds.
-    double round() {
+    double round(bool setting_up) {
         const int index = rounds_++;
         // The traced run alternates traced and untraced rounds.
         const bool muted = options_.trace && primary_ && index % 2 == 1;
@@ -191,6 +200,10 @@ private:
         double outside = 0.0;
         double calls = 0.0;
         for (const Row& row : kRows) {
+            if (row.integration == vp::AnalogIntegration::kEln && !setting_up &&
+                index % 3 != 0) {
+                continue;
+            }
             vp::PlatformConfig config;
             config.integration = row.integration;
             config.circuit = &circuit_;
@@ -257,10 +270,18 @@ private:
         }
 
         const auto steps = static_cast<std::size_t>(long_span_ / model_.timestep + 0.5);
-        const double step_ns = scalar_step_ns(*native_.at("cpp"), stimulus_, steps);
+        runtime::ModelExecutor& executor = *native_.at("cpp");
+        const double step_ns =
+            scalar_step_ns(executor, stimulus_, steps, "runtime.ModelExecutor::step");
+        Forward forward(executor);
+        const double forwarded_ns =
+            scalar_step_ns(forward, stimulus_, steps, "runtime.ModelExecutor::step.forwarded");
         ledger_.layer("runtime.scalar_step_ns", step_ns, "ns");
+        ledger_.layer("vp.forward_overhead_ns", forwarded_ns - step_ns, "ns");
+        // The platform runs the forwarded executor: its steps are the
+        // analog share, the rest is the ISS, bus and ADC.
         ledger_.layer("vp.digital_ms",
-                      (cpp_wall * 1e9 - static_cast<double>(steps) * step_ns) * 1e-6, "ms");
+                      (cpp_wall * 1e9 - static_cast<double>(steps) * forwarded_ns) * 1e-6, "ms");
 
         backends::IsolationSetup isolated;
         isolated.circuit = &circuit_;
