@@ -41,6 +41,7 @@ public:
     [[nodiscard]] std::size_t size() const { return values_.size(); }
     [[nodiscard]] double sum() const;
     [[nodiscard]] double median() const { return quantile(0.5); }
+    [[nodiscard]] double min() const { return quantile(0.0); }
     /// Linear-interpolated quantile, q in [0, 1].
     [[nodiscard]] double quantile(double q) const;
     /// Nearest-rank percentile p in (0, 100).

@@ -259,9 +259,9 @@ int run(int argc, char** argv) {
     // host speed drifts reach all of them alike. On vp_rc20 the platform
     // gets half of the slices and the others a quarter each. The platform
     // rows are the noisiest metrics (a single-threaded, load-heavy loop
-    // that host contention slows by up to a quarter for seconds at a
-    // time), so elsewhere vp gets as many slices as the workload's own
-    // surface: 40 % each, 20 % for the third.
+    // that host contention slows by up to ~2x for seconds at a time; they
+    // report their fastest call, vp.cpp), so elsewhere vp gets as many
+    // slices as the workload's own surface: 40 % each, 20 % for the third.
     const std::vector<Workload> cycle =
         own == Workload::kVp
             ? std::vector<Workload>{order[0], order[1], order[0], order[2]}

@@ -1,16 +1,17 @@
 // The served-job surface: one SweepService, two closed-loop clients (each
 // submits a job and waits for its future before the next), short ORC jobs
 // of 64 lanes and tens to a few hundred steps, their models drawn
-// uniformly by seed over 2IN/RC1/RC20/OA. Every twentieth job runs a fresh
-// RC ladder, abstracted during set-up but never submitted before, so the
-// cache misses and that job pays layout compile, verification and ORC
-// compile. Per-job fixed costs (fingerprint, cache lookup, executor reuse)
-// dominate the kernel.
+// uniformly by seed over 2IN/RC1/RC20/OA. One job per 40 ms of service
+// time (about one in twenty) runs a fresh RC ladder, abstracted during
+// set-up but never submitted before, so the cache misses and that job pays
+// layout compile, verification and ORC compile. Per-job fixed costs
+// (fingerprint, cache lookup, executor reuse) dominate the kernel.
 #include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -25,16 +26,23 @@ namespace {
 constexpr int kLanes = 64;
 constexpr int kClients = 2;
 constexpr int kSpecsPerModel = 64;
-constexpr std::size_t kMissEvery = 20;
+/// Service time per fresh-ladder job. The service keeps every model's
+/// executors, ~0.26 MB a model, so fresh ladders are paced by time rather
+/// than by job count: a run serves the same number of them, and peaks at
+/// the same memory, however fast the service runs.
+constexpr std::int64_t kFreshPeriodNs = 40'000'000;
 
 struct Spec {
     std::vector<runtime::SweepLane> lanes;
     std::size_t steps = 0;
 };
 
-Spec make_spec(const abstraction::SignalFlowModel& model, Rng& rng) {
+/// Spec `k` of a model's `count` draws its step count from the k-th of
+/// `count` equal strata of 20..300, so that every seed's specs cover the
+/// range evenly and the mean work per job does not move with the seed.
+Spec make_spec(const abstraction::SignalFlowModel& model, Rng& rng, int k, int count) {
     Spec spec;
-    spec.steps = static_cast<std::size_t>(rng.integer(20, 300));
+    spec.steps = 20 + static_cast<std::size_t>(280.0 * (k + rng.uniform(0.0, 1.0)) / count);
     spec.lanes.resize(kLanes);
     for (runtime::SweepLane& lane : spec.lanes) {
         for (const expr::Symbol& input : model.inputs) {
@@ -61,7 +69,8 @@ public:
           ledger_(ledger),
           workers_(std::max(1, static_cast<int>(options.nproc) - kClients)),
           // More jobs than a run can submit: the plan never runs out.
-          plan_size_(static_cast<std::size_t>(options.seconds * 1000.0) + 100) {
+          plan_size_(static_cast<std::size_t>(options.seconds * 1000.0) + 100),
+          fresh_count_(static_cast<std::size_t>(options.seconds * 1e9) / kFreshPeriodNs + 1) {
         const std::pair<const char*, netlist::Circuit> base[] = {
             {"2IN", netlist::make_two_inputs()},
             {"RC1", netlist::make_rc_ladder(1)},
@@ -70,7 +79,7 @@ public:
         };
         Rng ladder_rng(options.seed, 200);
         std::vector<netlist::Circuit> fresh;
-        for (std::size_t f = 0; f < plan_size_ / kMissEvery + 1; ++f) {
+        for (std::size_t f = 0; f < fresh_count_; ++f) {
             fresh.push_back(netlist::make_rc_ladder(ladder_rng.integer(2, 6),
                                                     ladder_rng.uniform(1e3, 1e4),
                                                     ladder_rng.uniform(5e-9, 50e-9)));
@@ -100,7 +109,7 @@ public:
                     specs_.emplace_back();
                     const int count = m < kBaseModels ? kSpecsPerModel : 1;
                     for (int k = 0; k < count; ++k) {
-                        specs_.back().push_back(make_spec(models_[m], rng));
+                        specs_.back().push_back(make_spec(models_[m], rng, k, count));
                     }
                 }
             }
@@ -114,14 +123,11 @@ public:
 
         plan_.resize(plan_size_);
         Rng rng(options.seed, 201);
-        std::size_t next_fresh = kBaseModels;
         const auto draw = [&rng](std::size_t count) {
             return static_cast<std::size_t>(rng.integer(0, static_cast<int>(count) - 1));
         };
-        for (std::size_t i = 0; i < plan_size_; ++i) {
-            plan_[i] = i % kMissEvery == kMissEvery / 2
-                           ? Planned{next_fresh++, 0}
-                           : Planned{draw(kBaseModels), draw(kSpecsPerModel)};
+        for (Planned& p : plan_) {
+            p = Planned{draw(kBaseModels), draw(kSpecsPerModel)};
         }
         latency_.assign(plan_size_, 0.0);
         sums_.assign(plan_size_, 0);
@@ -131,7 +137,7 @@ public:
     }
 
     void run_until(std::int64_t deadline_ns) override {
-        const std::int64_t start = now_ns();
+        slice_start_ns_ = now_ns();
         std::vector<std::thread> clients;
         for (int c = 0; c < kClients; ++c) {
             clients.emplace_back([this, deadline_ns] { client(deadline_ns); });
@@ -139,7 +145,7 @@ public:
         for (std::thread& t : clients) {
             t.join();
         }
-        window_s_ += seconds_since(start);
+        served_ns_ += now_ns() - slice_start_ns_;
     }
 
     void report() override {
@@ -189,7 +195,9 @@ public:
         // gap and moves by more than half between seeds. It is the median
         // of job_ms on the distributions line.
         ledger_.end_to_end("job_p99_ms", latency_ms.percentile(99.0), "ms");
-        ledger_.end_to_end("jobs_per_s", static_cast<double>(executed) / window_s_, "1/s");
+        ledger_.end_to_end("jobs_per_s",
+                           static_cast<double>(executed) / (static_cast<double>(served_ns_) * 1e-9),
+                           "1/s");
         ledger_.distribution("job_ms", latency_ms);
         if (!options_.trace) {
             return;
@@ -219,6 +227,20 @@ private:
                                  job_options_};
     }
 
+    /// The index of the next fresh ladder when one is due: one per
+    /// kFreshPeriodNs of service time.
+    std::optional<std::size_t> claim_fresh() {
+        const auto due = static_cast<std::size_t>(
+            (served_ns_ + now_ns() - slice_start_ns_) / kFreshPeriodNs);
+        std::size_t issued = fresh_issued_.load();
+        while (issued < std::min(due, fresh_count_)) {
+            if (fresh_issued_.compare_exchange_weak(issued, issued + 1)) {
+                return issued;
+            }
+        }
+        return std::nullopt;
+    }
+
     /// One closed-loop client: submit, wait for the future, repeat.
     void client(std::int64_t deadline_ns) {
         for (;;) {
@@ -228,6 +250,9 @@ private:
             const std::size_t i = next_.fetch_add(1);
             if (i >= plan_size_) {
                 return;
+            }
+            if (const std::optional<std::size_t> f = claim_fresh()) {
+                plan_[i] = Planned{kBaseModels + *f, 0};
             }
             runtime::SweepJob j = job(plan_[i].model, plan_[i].spec);
             const std::size_t steps = specs_[plan_[i].model][plan_[i].spec].steps;
@@ -256,6 +281,7 @@ private:
     Ledger& ledger_;
     const int workers_;
     const std::size_t plan_size_;
+    const std::size_t fresh_count_;  ///< fresh ladders a run can reach
     runtime::SweepOptions job_options_;
     std::unique_ptr<runtime::SweepService> service_;
     std::vector<abstraction::SignalFlowModel> models_;  ///< base models, then fresh ladders
@@ -269,7 +295,11 @@ private:
     std::vector<char> executed_;
     std::vector<char> ok_;
     std::mutex op_mutex_;  ///< guards the ledger's traced/untraced samples
-    double window_s_ = 0.0;
+    // Service time: the slices before the current one, and its start;
+    // written between slices only.
+    std::int64_t served_ns_ = 0;
+    std::int64_t slice_start_ns_ = 0;
+    std::atomic<std::size_t> fresh_issued_{0};
 };
 
 }  // namespace

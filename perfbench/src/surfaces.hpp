@@ -5,8 +5,8 @@
 //  * sweep   — 1024-lane Monte-Carlo sweeps of RC20 through the
 //              model-compiling simulate_sweep, ORC and interpreter in turn;
 //  * service — two closed-loop clients submitting short ORC jobs over
-//              2IN/RC1/RC20/OA to one SweepService, one job in twenty on a
-//              never-seen RC ladder.
+//              2IN/RC1/RC20/OA to one SweepService, one job per 40 ms of
+//              service time (about one in twenty) on a never-seen RC ladder.
 //
 // A surface does its set-up on construction (repeated, and timed into the
 // set-up samples, when it is the workload's primary surface), then runs in

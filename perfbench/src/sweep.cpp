@@ -80,9 +80,11 @@ public:
           native_(runtime::preferred_native_backend()) {
         // Set-up: abstraction plus the cold layout and kernel compiles the
         // first sweep pays, repeated from an empty global cache.
-        // Fifteen cheap repetitions: a single one takes tens of milliseconds.
+        // A hundred cheap repetitions (~4 s): a single one takes tens of
+        // milliseconds, and host noise moves it by half for seconds at a
+        // time.
         const netlist::Circuit circuit = netlist::make_rc_ladder(20);
-        const int reps = primary && !options.smoke ? 15 : 1;
+        const int reps = primary && !options.smoke ? 100 : 1;
         for (int rep = 0; rep < reps; ++rep) {
             const std::int64_t start = now_ns();
             model_ = abstract(circuit, "RC20");

@@ -93,25 +93,21 @@ runtime::ExecutorFactory reuse_factory(runtime::ModelExecutor& executor) {
     };
 }
 
-/// ModelExecutor::step of the row's native RC20 executor, timed alone:
-/// nanoseconds per step over `steps` steps, median of nine passes.
-double scalar_step_ns(runtime::ModelExecutor& executor, const numeric::SourceFunction& stimulus,
-                      std::size_t steps, const std::string& span_name) {
-    Samples per_step;
-    for (int rep = 0; rep < 9; ++rep) {
-        executor.reset();
-        const std::int64_t start = now_ns();
-        {
-            Tracer::Scope span(span_name);
-            for (std::size_t k = 1; k <= steps; ++k) {
-                const double t = static_cast<double>(k) * executor.timestep();
-                executor.set_input(0, stimulus(t));
-                executor.step(t);
-            }
+/// One pass of ModelExecutor::step over `steps` steps of a row's native
+/// RC20 executor, timed alone: nanoseconds per step.
+double step_pass_ns(runtime::ModelExecutor& executor, const numeric::SourceFunction& stimulus,
+                    std::size_t steps, const std::string& span_name) {
+    executor.reset();
+    const std::int64_t start = now_ns();
+    {
+        Tracer::Scope span(span_name);
+        for (std::size_t k = 1; k <= steps; ++k) {
+            const double t = static_cast<double>(k) * executor.timestep();
+            executor.set_input(0, stimulus(t));
+            executor.step(t);
         }
-        per_step.add(static_cast<double>(now_ns() - start) / static_cast<double>(steps));
     }
-    return per_step.median();
+    return static_cast<double>(now_ns() - start) / static_cast<double>(steps);
 }
 
 class VpSurface final : public Surface {
@@ -177,9 +173,17 @@ public:
     }
 
     void report() override {
+        // Each row reports its fastest call. Host interference only ever
+        // adds time, and on a shared host it comes in spells: a row's calls
+        // hold near a floor, then run up to ~2x slower for seconds at a
+        // time while neighbours load the host, in every run and on any CPU,
+        // and for minutes the floor itself rises. The median follows how
+        // much of a run fell in such spells (2.0 to 4.0 s/s for the C++ row
+        // in 50 s runs); the fastest call stays nearest to the platform's
+        // own cost.
         for (const Row& row : kRows) {
             const std::string name = std::string("vp_slowdown.") + row.tag;
-            ledger_.end_to_end(name, slowdown_[row.tag].median(), "s/s");
+            ledger_.end_to_end(name, slowdown_[row.tag].min(), "s/s");
             ledger_.distribution(name, slowdown_[row.tag]);
         }
         if (options_.trace) {
@@ -246,13 +250,13 @@ private:
         ledger_.layer("vp.apb_transfers", static_cast<double>(cpp.apb_transfers), "count");
         ledger_.layer("vp.adc_conversions", static_cast<double>(cpp.adc_conversions), "count");
 
-        const double cpp_wall = wall_s_["cpp"].median();
+        const double cpp_wall = wall_s_["cpp"].min();
         for (const Row& row : kRows) {
             const std::string tag = row.tag;
             const vp::PlatformResult& r = first_.at(tag);
             ledger_.layer("vp.elaborate_ms." + tag, elaborate_s_[tag].median() * 1e3, "ms");
             ledger_.layer("vp.host_ns_per_instr." + tag,
-                          wall_s_[tag].median() * 1e9 / static_cast<double>(r.instructions),
+                          wall_s_[tag].min() * 1e9 / static_cast<double>(r.instructions),
                           "ns");
             if (row.integration == vp::AnalogIntegration::kCpp) {
                 continue;
@@ -265,17 +269,26 @@ private:
                           "count");
             // The C++ row at the same span is the platform without a kernel.
             const double span = row.long_span ? long_span_ : short_span_;
-            const double kernel_s = wall_s_[tag].median() - cpp_wall * span / long_span_;
+            const double kernel_s = wall_s_[tag].min() - cpp_wall * span / long_span_;
             ledger_.layer("de.ns_per_activation." + tag, kernel_s * 1e9 / activations, "ns");
         }
 
         const auto steps = static_cast<std::size_t>(long_span_ / model_.timestep + 0.5);
         runtime::ModelExecutor& executor = *native_.at("cpp");
-        const double step_ns =
-            scalar_step_ns(executor, stimulus_, steps, "runtime.ModelExecutor::step");
+        // The fastest of a hundred passes, as for the platform rows it is
+        // set against: a pass takes milliseconds, a host slow spell
+        // seconds. Bare and forwarded passes alternate, so that both see
+        // the same host.
         Forward forward(executor);
-        const double forwarded_ns =
-            scalar_step_ns(forward, stimulus_, steps, "runtime.ModelExecutor::step.forwarded");
+        Samples bare;
+        Samples forwarded;
+        for (int pass = 0; pass < 100; ++pass) {
+            bare.add(step_pass_ns(executor, stimulus_, steps, "runtime.ModelExecutor::step"));
+            forwarded.add(
+                step_pass_ns(forward, stimulus_, steps, "runtime.ModelExecutor::step.forwarded"));
+        }
+        const double step_ns = bare.min();
+        const double forwarded_ns = forwarded.min();
         ledger_.layer("runtime.scalar_step_ns", step_ns, "ns");
         ledger_.layer("vp.forward_overhead_ns", forwarded_ns - step_ns, "ns");
         // The platform runs the forwarded executor: its steps are the
